@@ -74,6 +74,11 @@ def int_to_bitplanes(values: np.ndarray, nbits: int) -> np.ndarray:
         values.astype("<i8", copy=False)).view(np.uint8)
     bits = np.unpackbits(as_bytes.reshape(*values.shape, 8), axis=-1,
                          bitorder="little")[..., :nbits]
+    if nbits > 64:
+        # Planes past the 64-bit host currency are zero, not missing.
+        bits = np.concatenate(
+            [bits, np.zeros((*values.shape, nbits - 64), dtype=np.uint8)],
+            axis=-1)
     return bits.transpose(0, 2, 1)
 
 
@@ -153,6 +158,121 @@ def unpack_bit_plane(words: np.ndarray, cols: int) -> np.ndarray:
         words.astype("<u8", copy=False)).view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     return bits[..., :cols]
+
+
+#: Delta-swap steps of the 8x8 bit-matrix transpose on one uint64 (byte
+#: ``i`` is row ``i``, bit ``j`` of it column ``j``): swap 1x1, then 2x2,
+#: then 4x4 blocks across the diagonal.
+_TRANSPOSE8_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask)) for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0)))
+
+
+def transpose8(x: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit matrix held in every uint64 of ``x``, in place.
+
+    Byte ``i`` of a word is matrix row ``i`` and bit ``j`` of that byte is
+    column ``j``; afterwards bit ``j`` of byte ``i`` holds what bit ``i``
+    of byte ``j`` held. Three SWAR delta swaps per word, the software
+    analogue of the Transpose Memory Unit turning byte-wide data
+    bit-serial. Returns ``x``.
+    """
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE8_STEPS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x
+
+
+def pack_value_planes(values: np.ndarray, nbits: int,
+                      n_words: int) -> np.ndarray:
+    """Non-negative ints ``(..., cols)`` -> packed bit planes, word-native.
+
+    Returns ``(..., nbits, n_words)`` uint64 where plane ``b`` holds bit
+    ``b`` (LSB = plane 0) of every element, packed as
+    :func:`pack_bit_plane` packs columns. Equal to
+    ``pack_bit_plane(int_to_bitplanes(values, nbits), n_words)`` without
+    the byte-per-bit intermediate: each byte of the field width goes
+    through one :func:`transpose8` over groups of eight columns. Values
+    are masked to ``nbits``; bits past ``cols`` are zero.
+    """
+    values = np.asarray(values)
+    if nbits <= 0:
+        raise ValueError(f"nbits must be positive, got {nbits}")
+    cols = values.shape[-1]
+    if n_words * WORD_BITS < cols:
+        raise ValueError(f"{n_words} words cannot hold {cols} bit columns")
+    lead = values.shape[:-1]
+    if values.dtype == np.uint8 and nbits <= 8:
+        n_bytes = 1
+    else:
+        values = values.astype(np.int64, copy=False)
+        if np.any(values < 0):
+            raise ValueError("pack_value_planes only handles non-negative "
+                             "values; encode signed data in two's "
+                             "complement first")
+        n_bytes = min(ceil_div(nbits, 8), 8)
+    # Zero-pad to whole words (this also makes the buffer contiguous).
+    buf = np.zeros((*lead, n_words * WORD_BITS), dtype=values.dtype)
+    buf[..., :cols] = values
+    n_groups = n_words * 8
+    as_bytes = buf.view(np.uint8).reshape(
+        *lead, n_groups, 8, values.dtype.itemsize)[..., :n_bytes]
+    # (..., byte k, group g, column-in-group i): word (k, g) is an 8x8
+    # matrix whose row i is byte k of column 8g + i.
+    grouped = np.ascontiguousarray(np.moveaxis(as_bytes, -1, -3))
+    transpose8(grouped.view("<u8"))
+    # Row j of the transposed word is plane 8k + j over the eight columns
+    # of group g; eight consecutive groups make one packed word.
+    planes = np.ascontiguousarray(np.swapaxes(
+        grouped.reshape(*lead, n_bytes, n_groups, 8), -1, -2))
+    words = planes.view("<u8").reshape(*lead, n_bytes * 8, n_words)
+    if nbits <= n_bytes * 8:
+        return words[..., :nbits, :].astype(np.uint64, copy=False)
+    # Planes past the 64-bit host currency are zero.
+    out = np.zeros((*lead, nbits, n_words), dtype=np.uint64)
+    out[..., :n_bytes * 8, :] = words
+    return out
+
+
+def unpack_value_planes(words: np.ndarray, cols: int) -> np.ndarray:
+    """Packed bit planes ``(..., nbits, n_words)`` -> int64 ``(..., cols)``.
+
+    Inverse of :func:`pack_value_planes`, equal to
+    ``bitplanes_to_int(unpack_bit_plane(words, cols))`` without the
+    byte-per-bit intermediate.
+    """
+    words = np.asarray(words)
+    if words.ndim < 2:
+        raise ValueError(f"expected (..., nbits, n_words) planes, got "
+                         f"shape {words.shape}")
+    *lead, nbits, n_words = words.shape
+    if nbits > 64:
+        raise ValueError(f"bit planes wider than 64 bits ({nbits}) do not "
+                         f"fit the int64 host currency")
+    if cols <= 0 or n_words * WORD_BITS < cols:
+        raise ValueError(f"{n_words} words cannot hold {cols} bit columns")
+    n_bytes = ceil_div(nbits, 8)
+    n_groups = n_words * 8
+    planes = np.zeros((*lead, n_bytes * 8, n_words), dtype="<u8")
+    planes[..., :nbits, :] = words
+    # (..., byte k, plane-in-byte j, group g) -> words (k, g) whose row j
+    # is plane 8k + j over the eight columns of group g.
+    grouped = np.ascontiguousarray(np.swapaxes(
+        planes.view(np.uint8).reshape(*lead, n_bytes, 8, n_groups), -1, -2))
+    transpose8(grouped.view("<u8"))
+    # Row i of the transposed word is byte k of column 8g + i.
+    col_bytes = np.moveaxis(
+        grouped.reshape(*lead, n_bytes, n_groups * 8), -2, -1)[..., :cols, :]
+    out = np.zeros((*lead, cols, 8), dtype=np.uint8)
+    out[..., :n_bytes] = col_bytes
+    return out.view("<i8")[..., 0].astype(np.int64, copy=False)
 
 
 def to_twos_complement(values: np.ndarray, nbits: int) -> np.ndarray:

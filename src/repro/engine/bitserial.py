@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.bits import bitplanes_to_int, int_to_bitplanes
 from repro.common.errors import ArrayStateError, LayoutError
 from repro.engine.fleet import ArrayFleet, PlaneStore
 
@@ -168,23 +167,21 @@ class FleetBitSerialUnit:
             raise ArrayStateError(
                 f"expected ({self.n_arrays}, {self.cols}) values, got shape "
                 f"{values.shape}")
-        self.fleet.load_bits(op.row, int_to_bitplanes(values, op.nbits))
+        self.fleet.load_values(op.row, values[:, None, :], op.nbits)
 
     def write_value_block(self, base: Operand, values: np.ndarray,
                           nbits: int) -> None:
         """Store a contiguous block of equal-width fields in one host load.
 
         ``values`` is ``(n_arrays, n_fields, cols)``; field ``t`` occupies
-        ``nbits`` wordlines starting at ``base.row + t * nbits``. All the
-        fields' bit planes are built and loaded in a *single*
-        ``load_bits`` call — on the packed store that is one vectorized
-        host pack for the whole block instead of ``n_fields`` separate
-        packs, which is the conversion hot spot when a conv layer loads
-        its tap planes (host/TMU path, no compute cycles either way).
+        ``nbits`` wordlines starting at ``base.row + t * nbits``. The
+        whole block goes to the store in a *single* ``load_values`` call
+        — on the packed store one word-native transpose for every field
+        instead of ``n_fields`` separate conversions, which is the
+        staging hot spot when a conv layer loads its tap planes (host/TMU
+        path, no compute cycles either way).
         """
         values = np.asarray(values)
-        if values.dtype != np.uint8:
-            values = values.astype(np.int64, copy=False)
         if (values.ndim != 3 or values.shape[0] != self.n_arrays
                 or values.shape[2] != self.cols):
             raise ArrayStateError(
@@ -195,14 +192,11 @@ class FleetBitSerialUnit:
             raise LayoutError(
                 f"block of {n_fields} x {nbits}-bit fields needs "
                 f"{n_fields * nbits} rows, operand has {base.nbits}")
-        planes = int_to_bitplanes(values.reshape(-1, self.cols), nbits)
-        self.fleet.load_bits(
-            base.row,
-            planes.reshape(self.n_arrays, n_fields * nbits, self.cols))
+        self.fleet.load_values(base.row, values, nbits)
 
     def read_values(self, op: Operand) -> np.ndarray:
         """Read back ``(n_arrays, cols)`` integers from ``op``."""
-        return bitplanes_to_int(self.fleet.dump_bits(op.row, op.nbits))
+        return self.fleet.dump_values(op.row, op.nbits)
 
     # ==================================================================
     # Single-cycle primitives

@@ -22,23 +22,26 @@ so the same sequencer code drives both the unpacked reference store
 (:class:`repro.engine.packed.PackedArrayFleet`, 64 bit-columns per uint64
 word — 8x smaller, several times faster per lockstep op).
 
-Plane currency: host-facing methods (``read_row``, ``write_row``,
-``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store;
+Plane currency: host-facing bit methods (``read_row``, ``write_row``,
+``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store,
+and the staging methods (``load_values``, ``dump_values``) speak integer
+fields, which the packed store converts to words without a bit tensor;
 compute-facing methods (``sense``, ``sense_single``, ``write_back`` and
 the plane ops) speak the store's *native* planes — uint8 ``(n_arrays,
 cols)`` for the unpacked store, uint64 ``(n_arrays, n_words)`` for the
 packed one. Callers that sequence compute cycles treat native planes as
 opaque values supporting ``& | ^``.
 
-This module must stay dependency-light (NumPy + error types only): the
-single-array classes in :mod:`repro.sram` import it, so importing anything
-from :mod:`repro.core` here would create a cycle.
+This module must stay dependency-light (NumPy, error types and the bit
+helpers only): the single-array classes in :mod:`repro.sram` import it,
+so importing anything from :mod:`repro.core` here would create a cycle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.common.bits import bitplanes_to_int, int_to_bitplanes
 from repro.common.errors import ArrayStateError
 
 #: Geometry of the 8KB array used throughout the paper.
@@ -341,6 +344,29 @@ class PlaneStore:
         self._check_region(top_row, n_rows, col_offset, n_cols)
         return self._read_region(top_row, n_rows, col_offset, n_cols)
 
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        """Bulk-store integer fields, transposed to bit-serial layout.
+
+        ``values`` is ``(n_arrays, n_fields, cols)`` non-negative ints;
+        field ``t`` occupies the ``nbits`` wordlines from
+        ``top_row + t * nbits``, LSB first (the Transpose Memory Unit's
+        job, Sec. IV). Values are masked to ``nbits``; a negative value
+        raises ``ValueError``, a wrong shape or region
+        :class:`ArrayStateError`. This implementation goes through the
+        0/1 bit tensor and :meth:`load_bits` (the unpacked reference's
+        own currency); the packed store overrides it word-native.
+        """
+        values = self._check_values(top_row, values, nbits)
+        planes = int_to_bitplanes(values.reshape(-1, self.cols), nbits)
+        self.load_bits(top_row,
+                       planes.reshape(self.n_arrays, -1, self.cols))
+
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        """Read the ``nbits``-wide field at ``top_row`` back as int64
+        ``(n_arrays, cols)`` (inverse of :meth:`load_values`)."""
+        return bitplanes_to_int(self.dump_bits(top_row, nbits))
+
     def reset_counters(self) -> None:
         """Zero the lockstep access/compute cycle counters."""
         self.access_cycles = 0
@@ -365,6 +391,20 @@ class PlaneStore:
             raise ArrayStateError(
                 f"columns [{col_offset}, {col_offset + n_cols}) outside array "
                 f"of {self.cols} columns")
+
+    def _check_values(self, top_row: int, values: np.ndarray,
+                      nbits: int) -> np.ndarray:
+        """Shape and region checks shared by every :meth:`load_values`."""
+        values = np.asarray(values)
+        if (values.ndim != 3 or values.shape[0] != self.n_arrays
+                or values.shape[2] != self.cols):
+            raise ArrayStateError(
+                f"expected ({self.n_arrays}, n_fields, {self.cols}) values, "
+                f"got shape {values.shape}")
+        if nbits <= 0:
+            raise ValueError(f"nbits must be positive, got {nbits}")
+        self._check_region(top_row, values.shape[1] * nbits, 0, self.cols)
+        return values
 
     def _coerce_bits(self, bits: np.ndarray) -> np.ndarray:
         """Validate host 0/1 bits, broadcasting ``(cols,)`` to every array."""

@@ -1,9 +1,9 @@
-"""Packed-bit plane store: 64 bit-columns per machine word.
+"""Packed-bit plane store: 64 bit-columns per machine word, plane-major.
 
 :class:`ArrayFleet` keeps one uint8 byte per bit — convenient to inspect,
 but 8x more memory and 8x less ALU work per NumPy op than the hardware
 analogy allows. :class:`PackedArrayFleet` stores the same
-``(n_arrays, rows, cols)`` bit tensor as ``(n_arrays, rows, n_words)``
+``(n_arrays, rows, cols)`` bit tensor as ``(rows, n_arrays, n_words)``
 uint64 words (column ``c`` at bit ``c % 64`` of word ``c // 64``,
 LSB-first), so every lockstep primitive — two-row sensing as ``a & b`` /
 ``~a & ~b`` on whole words, tag-gated write-back, column shifts — touches
@@ -11,21 +11,33 @@ LSB-first), so every lockstep primitive — two-row sensing as ``a & b`` /
 exactly how bit-level SRAM-compute reproductions get their throughput, and
 it drops the resident plane memory 8x for serving-scale fleets.
 
+The word tensor is *plane-major*: one instruction drives the same
+wordline in every array of a slice (Sec. III-IV), so wordline ``r`` of the
+whole fleet is one contiguous ``(n_arrays, n_words)`` block and
+:meth:`PackedArrayFleet.row_plane` is a plain ``_words[r]`` view, not a
+strided gather across arrays. Host staging is word-native too:
+:meth:`PackedArrayFleet.load_values` / :meth:`~PackedArrayFleet.dump_values`
+convert between integers and packed planes with an 8x8 SWAR bit-matrix
+transpose (:func:`~repro.common.bits.pack_value_planes`), the software
+stand-in for the Transpose Memory Unit, with no byte-per-bit tensor in
+between.
+
 The sequencing logic is *not* duplicated here: every primitive lives once
 in :class:`~repro.engine.fleet.PlaneStore`, and this module only supplies
 the packed storage and the native plane ops (complement, column shift,
-host pack/unpack). :class:`PackedFleetPeriphery` likewise inherits the
-full-adder logic from :class:`~repro.engine.fleet.FleetPeriphery` and only
-re-homes the carry/tag latches in packed words. Property tests pin the
-packed store bit-exact and cycle-exact against the unpacked reference for
-every bit-serial sequence, including ragged ``cols % 64 != 0`` geometries
-where the tail word is only partially populated.
+host pack/unpack, word-native staging). :class:`PackedFleetPeriphery`
+likewise inherits the full-adder logic from
+:class:`~repro.engine.fleet.FleetPeriphery` and only re-homes the
+carry/tag latches in packed words. Property tests pin the packed store
+bit-exact and cycle-exact against the unpacked reference for every
+bit-serial sequence, including ragged ``cols % 64 != 0`` geometries where
+the tail word is only partially populated.
 
 Invariant: bits at column positions >= ``cols`` (the tail of the last
 word) are always zero, in the store, in sensed rails and in the periphery
-latches. ``plane_not`` and the rail complements mask the tail, and
+latches. ``plane_not`` and the rail complements mask the tail,
 :meth:`PackedArrayFleet.coerce_plane` rejects externally supplied planes
-that violate it.
+that violate it, and the staging converters zero-pad the tail.
 """
 
 from __future__ import annotations
@@ -37,8 +49,10 @@ import numpy as np
 from repro.common.bits import (
     WORD_BITS,
     pack_bit_plane,
+    pack_value_planes,
     packed_words,
     unpack_bit_plane,
+    unpack_value_planes,
 )
 from repro.common.errors import ArrayStateError
 from repro.engine.fleet import (
@@ -95,9 +109,12 @@ class PackedArrayFleet(PlaneStore):
     Same public surface and cycle accounting as :class:`ArrayFleet` (both
     are :class:`PlaneStore` implementations); only the native plane
     currency differs — ``(n_arrays, n_words)`` uint64 words instead of
-    ``(n_arrays, cols)`` uint8 bits. Host-facing methods (``read_row``,
-    ``write_row``, ``load_bits``, ``dump_bits``) still speak 0/1 uint8 and
-    convert at the boundary.
+    ``(n_arrays, cols)`` uint8 bits. The backing tensor is plane-major,
+    ``(rows, n_arrays, n_words)``, so each native plane is one contiguous
+    block. Host-facing bit methods (``read_row``, ``write_row``,
+    ``load_bits``, ``dump_bits``) still speak 0/1 uint8 and convert at the
+    boundary; the value staging methods (``load_values``,
+    ``dump_values``) convert straight between integers and words.
     """
 
     def __init__(self, n_arrays: int = 1, rows: int = DEFAULT_ROWS,
@@ -107,15 +124,20 @@ class PackedArrayFleet(PlaneStore):
         self._words = self._alloc_words()
 
     def _alloc_words(self) -> np.ndarray:
-        """The backing word tensor — the allocation seam
-        :class:`~repro.engine.shared.SharedPlaneStore` re-homes in a
-        shared-memory segment."""
-        return np.zeros((self.n_arrays, self.rows, self.n_words),
+        """The backing ``(rows, n_arrays, n_words)`` word tensor — the
+        allocation seam :class:`~repro.engine.shared.SharedPlaneStore`
+        re-homes in a shared-memory segment."""
+        return np.zeros((self.rows, self.n_arrays, self.n_words),
                         dtype=np.uint64)
+
+    def _row_words(self, top_row: int, n_rows: int) -> np.ndarray:
+        """Writable ``(n_rows, n_arrays, n_words)`` view of a row span —
+        the one accessor every host-path method goes through."""
+        return self._words[top_row:top_row + n_rows]
 
     # -- plane ops ------------------------------------------------------
     def row_plane(self, row: int) -> np.ndarray:
-        return self._words[:, row]
+        return self._words[row]
 
     def const_plane(self, bit: int):
         # The mask doubles as the all-ones plane (it is read-only).
@@ -160,19 +182,35 @@ class PackedArrayFleet(PlaneStore):
 
     def _read_region(self, top_row: int, n_rows: int, col_offset: int,
                      n_cols: int) -> np.ndarray:
-        rows = self.unpack_plane(self._words[:, top_row:top_row + n_rows])
-        return rows[:, :, col_offset:col_offset + n_cols]
+        rows = self.unpack_plane(self._row_words(top_row, n_rows))
+        return rows.transpose(1, 0, 2)[:, :, col_offset:col_offset + n_cols]
 
     def _write_region(self, top_row: int, n_rows: int, col_offset: int,
                       bits: np.ndarray) -> None:
+        dst = self._row_words(top_row, n_rows)
+        bits = bits.transpose(1, 0, 2)
         n_cols = bits.shape[-1]
         if col_offset == 0 and n_cols == self.cols:
-            self._words[:, top_row:top_row + n_rows] = self.pack_plane(bits)
+            dst[...] = self.pack_plane(bits)
             return
         # Sub-word column range: read-modify-write the affected rows.
-        region = self.unpack_plane(self._words[:, top_row:top_row + n_rows])
+        region = self.unpack_plane(dst)
         region[:, :, col_offset:col_offset + n_cols] = bits
-        self._words[:, top_row:top_row + n_rows] = self.pack_plane(region)
+        dst[...] = self.pack_plane(region)
+
+    # -- word-native staging (the TMU path) -----------------------------
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        values = self._check_values(top_row, values, nbits)
+        planes = pack_value_planes(values, nbits, self.n_words)
+        n_rows = values.shape[1] * nbits
+        self._row_words(top_row, n_rows)[...] = planes.reshape(
+            self.n_arrays, n_rows, self.n_words).transpose(1, 0, 2)
+
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        self._check_region(top_row, nbits, 0, self.cols)
+        return unpack_value_planes(
+            self._row_words(top_row, nbits).transpose(1, 0, 2), self.cols)
 
     @property
     def nbytes(self) -> int:

@@ -391,12 +391,15 @@ class SharedPlaneStore(PackedArrayFleet):
     """Packed uint64 bit planes living in a shared-memory segment.
 
     Behaviourally identical to :class:`~repro.engine.packed.PackedArrayFleet`
-    — every lockstep primitive, the cycle accounting and the tail-word
-    invariant are inherited unchanged; only the backing allocation of
-    ``_words`` moves into a :class:`SharedSegment`, so another process
-    can map the very same planes with :meth:`attach` instead of
-    receiving a pickled copy. This is the store the pool driver's
-    workers run their warm fleets on.
+    — every lockstep primitive, the word-native staging, the cycle
+    accounting and the tail-word invariant are inherited unchanged; only
+    the backing allocation of the plane-major ``(rows, n_arrays,
+    n_words)`` tensor ``_words`` moves into a :class:`SharedSegment`, so
+    another process can map the very same planes with :meth:`attach`
+    instead of receiving a pickled copy. This is the store the pool
+    driver's workers run their warm fleets on. Every access goes
+    through ``row_plane`` (compute) or ``_row_words`` (host staging),
+    and both check the store is still open.
 
     Lifecycle: a store constructed normally *owns* its segment (created
     recyclable: ``close()`` returns it to the process-local free list,
@@ -413,7 +416,7 @@ class SharedPlaneStore(PackedArrayFleet):
         super().__init__(n_arrays, rows, cols)
 
     def _alloc_words(self) -> np.ndarray:
-        shape = (self.n_arrays, self.rows, self.n_words)
+        shape = (self.rows, self.n_arrays, self.n_words)
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if self._attach_to is None:
             self._segment = SharedSegment.create(nbytes, recycle=True)
@@ -448,15 +451,9 @@ class SharedPlaneStore(PackedArrayFleet):
         self._check_open()
         return super().row_plane(row)
 
-    def _read_region(self, top_row: int, n_rows: int, col_offset: int,
-                     n_cols: int) -> np.ndarray:
+    def _row_words(self, top_row: int, n_rows: int) -> np.ndarray:
         self._check_open()
-        return super()._read_region(top_row, n_rows, col_offset, n_cols)
-
-    def _write_region(self, top_row: int, n_rows: int, col_offset: int,
-                      bits: np.ndarray) -> None:
-        self._check_open()
-        super()._write_region(top_row, n_rows, col_offset, bits)
+        return super()._row_words(top_row, n_rows)
 
     def close(self, unlink: bool | None = None) -> None:
         """Release the mapping (idempotent); owners recycle or unlink."""

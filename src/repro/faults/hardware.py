@@ -14,11 +14,11 @@ Fault semantics:
 * **stuck-at cells** clamp on *write*: whatever value a write drives
   into a stuck cell, the stored bit is the stuck value. Every write path
   of the seam (``store_plane``/``write_back``/``write_row``/
-  ``load_bits``/``move_plane``) re-applies the per-row clamp masks, and
-  the clamp is applied once at construction so stuck-at-1 cells read 1
-  even before the first write. Reads then see the clamped storage for
-  free — including the two-row compute sensing, whose AND/NOR rails are
-  computed from the stored planes.
+  ``load_bits``/``load_values``/``move_plane``) re-applies the per-row
+  clamp masks, and the clamp is applied once at construction so
+  stuck-at-1 cells read 1 even before the first write. Reads then see
+  the clamped storage for free — including the two-row compute
+  sensing, whose AND/NOR rails are computed from the stored planes.
 * **dead wordlines** are whole rows stuck at 0 (a broken row driver):
   modeled as stuck-at-0 across every column of that row.
 * **flaky sense amps** are *read*-side and transient: each chosen
@@ -264,6 +264,19 @@ class FaultyPlaneStore:
                   col_offset: int = 0) -> None:
         self._store.load_bits(top_row, bits, col_offset)
         self._clamp_span(top_row, np.asarray(bits).shape[-2])
+
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        # Explicit proxy: the inner store's load_values writes through its
+        # own methods (the packed store straight into its words), so a
+        # fall-through via __getattr__ would skip the stuck-at clamps.
+        self._store.load_values(top_row, values, nbits)
+        self._clamp_span(top_row, np.asarray(values).shape[1] * nbits)
+
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        # Host reads bypass the sense amps, as dump_bits does; proxied
+        # explicitly so the staging seam is complete on this wrapper.
+        return self._store.dump_values(top_row, nbits)
 
     def move_plane(self, src_row: int, dst_row: int, stride: int,
                    group: int) -> None:

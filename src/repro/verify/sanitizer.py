@@ -5,8 +5,8 @@
 state per wordline: *has anything ever written this row?* Every read path
 of the store seam — compute sensing (``sense``/``sense_single``/
 ``read_plane``), tag-masked writes (which read the destination through
-the write drivers' mux), and host reads (``read_row``/``dump_bits``) —
-checks the shadow first and raises a structured
+the write drivers' mux), and host reads (``read_row``/``dump_bits``/
+``dump_values``) — checks the shadow first and raises a structured
 :class:`~repro.common.errors.VerifyError` at the exact offending
 primitive. That makes it the runtime ground truth the static
 ``uninit-read`` pass is tested against: a program the static pass calls
@@ -133,6 +133,14 @@ class ShadowPlaneStore:
             self._require(row, "host dump")
         return self._store.dump_bits(top_row, n_rows, col_offset, n_cols)
 
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        # Explicit proxy: the inner store's dump_values reads through its
+        # own methods (the packed store straight from its words), so a
+        # fall-through via __getattr__ would skip the shadow check.
+        for row in range(top_row, top_row + nbits):
+            self._require(row, "host dump")
+        return self._store.dump_values(top_row, nbits)
+
     # -- checked write paths (masked writes read the destination) ------
     def store_plane(self, row: int, plane: np.ndarray,
                     mask: np.ndarray | None = None) -> None:
@@ -169,6 +177,13 @@ class ShadowPlaneStore:
         self._store.load_bits(top_row, bits, col_offset)
         n_rows = np.asarray(bits).shape[-2]
         self._mark(top_row, n_rows)
+
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        # Explicit proxy, as for dump_values: the rows written must be
+        # marked here, because the inner store never calls our load_bits.
+        self._store.load_values(top_row, values, nbits)
+        self._mark(top_row, np.asarray(values).shape[1] * nbits)
 
     # -- everything else is the inner store's business -----------------
     def __getattr__(self, name: str) -> Any:

@@ -14,6 +14,16 @@ from repro.common import (
     next_power_of_two,
     to_twos_complement,
 )
+from repro.common.bits import (
+    bitplanes_to_int,
+    int_to_bitplanes,
+    pack_bit_plane,
+    pack_value_planes,
+    packed_words,
+    transpose8,
+    unpack_bit_plane,
+    unpack_value_planes,
+)
 
 
 class TestIntBitsConversion:
@@ -102,3 +112,102 @@ def test_next_power_of_two_properties(n):
     assert is_power_of_two(p)
     assert p >= n
     assert p < 2 * n or n == 1
+
+
+#: Ragged and whole-word column counts for the word-native converters.
+CONVERTER_COLS = [1, 7, 63, 64, 100, 256, 300]
+
+
+def oracle_pack(values, nbits, n_words):
+    """The byte-per-bit path the word-native converters replace."""
+    flat = values.reshape(-1, values.shape[-1])
+    planes = pack_bit_plane(int_to_bitplanes(flat, nbits), n_words)
+    return planes.reshape(*values.shape[:-1], nbits, n_words)
+
+
+def oracle_unpack(words, cols):
+    *lead, nbits, n_words = words.shape
+    bits = unpack_bit_plane(words.reshape(-1, nbits, n_words), cols)
+    return bitplanes_to_int(bits).reshape(*lead, cols)
+
+
+class TestWordNativeConverters:
+    """``pack_value_planes`` / ``unpack_value_planes`` against the
+    ``int_to_bitplanes`` + ``pack_bit_plane`` oracle, which stays."""
+
+    @pytest.mark.parametrize("cols", CONVERTER_COLS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_every_width_matches_the_bit_tensor_path(self, cols, dtype):
+        rng = np.random.default_rng(cols)
+        n_words = packed_words(cols)
+        high = 256 if dtype == np.uint8 else 2**63 - 1
+        values = rng.integers(0, high, (2, 3, cols), dtype=np.int64)
+        values = values.astype(dtype)
+        for nbits in range(1, 65):
+            words = pack_value_planes(values, nbits, n_words)
+            assert words.dtype == np.uint64
+            assert words.shape == (2, 3, nbits, n_words)
+            assert np.array_equal(words,
+                                  oracle_pack(values, nbits, n_words))
+            back = unpack_value_planes(words, cols)
+            assert back.dtype == np.int64
+            assert np.array_equal(back, oracle_unpack(words, cols))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_masks_to_width(self, data):
+        cols = data.draw(st.sampled_from(CONVERTER_COLS))
+        nbits = data.draw(st.integers(1, 64))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).integers(
+            0, 2**63 - 1, (2, cols), dtype=np.int64)
+        words = pack_value_planes(values, nbits, packed_words(cols))
+        masked = values if nbits >= 63 else values & ((1 << nbits) - 1)
+        assert np.array_equal(unpack_value_planes(words, cols), masked)
+
+    @pytest.mark.parametrize("cols", CONVERTER_COLS)
+    def test_tail_word_bits_stay_zero(self, cols):
+        values = np.full((3, cols), 255, dtype=np.uint8)
+        words = pack_value_planes(values, 8, packed_words(cols))
+        tail = cols % 64
+        if tail:
+            assert not np.any(words[..., -1] >> np.uint64(tail))
+        assert np.array_equal(unpack_bit_plane(words, cols),
+                              np.ones((3, 8, cols), dtype=np.uint8))
+
+    def test_extra_words_are_zero_padding(self):
+        words = pack_value_planes(np.full((1, 10), 3), 2, 3)
+        assert words.shape == (1, 2, 3)
+        assert not np.any(words[..., 1:])
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pack_value_planes(np.array([[1, -1]]), 8, 1)
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="nbits"):
+            pack_value_planes(np.zeros((1, 4), dtype=np.int64), 0, 1)
+        with pytest.raises(ValueError, match="cannot hold"):
+            pack_value_planes(np.zeros((1, 65), dtype=np.int64), 4, 1)
+        with pytest.raises(ValueError, match="64 bits"):
+            unpack_value_planes(np.zeros((65, 1), dtype=np.uint64), 8)
+        with pytest.raises(ValueError, match="cannot hold"):
+            unpack_value_planes(np.zeros((4, 1), dtype=np.uint64), 65)
+
+    def test_planes_past_64_bits_are_zero(self):
+        values = np.full((1, 5), 2**62 + 1, dtype=np.int64)
+        words = pack_value_planes(values, 70, 1)
+        assert words.shape == (1, 70, 1)
+        assert np.array_equal(words, oracle_pack(values, 70, 1))
+        assert not np.any(words[:, 64:])
+
+    def test_transpose8_is_the_bit_matrix_transpose(self):
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 2**63, 50, dtype=np.int64).astype("<u8")
+        matrix = np.unpackbits(x.view(np.uint8).reshape(50, 8), axis=-1,
+                               bitorder="little").reshape(50, 8, 8)
+        y = transpose8(x.copy())
+        got = np.unpackbits(y.view(np.uint8).reshape(50, 8), axis=-1,
+                            bitorder="little").reshape(50, 8, 8)
+        assert np.array_equal(got, matrix.transpose(0, 2, 1))
+        assert np.array_equal(transpose8(y), x)

@@ -167,6 +167,76 @@ class TestPackedFleetPrimitives:
         assert isinstance(make_fleet(2, 8, 64, packed=True), PackedArrayFleet)
 
 
+class TestPlaneMajorLayout:
+    @pytest.mark.parametrize("n_arrays, cols", GEOMETRIES)
+    def test_row_plane_is_a_contiguous_writable_view(self, n_arrays, cols):
+        packed = PackedArrayFleet(n_arrays, rows=8, cols=cols)
+        plane = packed.row_plane(3)
+        assert plane.shape == (n_arrays, packed.n_words)
+        assert plane.flags.c_contiguous and plane.flags.writeable
+        assert np.shares_memory(plane, packed._words)
+        bits = RNG.integers(0, 2, (n_arrays, cols)).astype(np.uint8)
+        plane[...] = packed.pack_plane(bits)
+        assert np.array_equal(packed.dump_bits(3, 1)[:, 0], bits)
+        assert not packed.dump_bits(0, 3).any()
+
+    def test_backing_tensor_is_plane_major(self):
+        packed = PackedArrayFleet(3, rows=5, cols=100)
+        assert packed._words.shape == (5, 3, 2)
+        assert packed.nbytes == 5 * 3 * 2 * 8
+
+
+class TestWordNativeStaging:
+    """``load_values``/``dump_values``: the packed store's word-native
+    override against the unpacked store's bit-tensor base path."""
+
+    @pytest.mark.parametrize("n_arrays, cols", GEOMETRIES)
+    @pytest.mark.parametrize("nbits", [1, 5, 8, 13, 32])
+    def test_matches_the_reference_store(self, n_arrays, cols, nbits):
+        ref = ArrayFleet(n_arrays, rows=128, cols=cols)
+        packed = PackedArrayFleet(n_arrays, rows=128, cols=cols)
+        values = RNG.integers(0, 2**40, (n_arrays, 3, cols))
+        for fleet in (ref, packed):
+            fleet.load_values(7, values, nbits)
+        assert np.array_equal(packed.dump_bits(0, 128),
+                              ref.dump_bits(0, 128))
+        for t in range(3):
+            row = 7 + t * nbits
+            expected = values[:, t] & ((1 << nbits) - 1)
+            assert np.array_equal(ref.dump_values(row, nbits), expected)
+            assert np.array_equal(packed.dump_values(row, nbits), expected)
+        assert packed.access_cycles == ref.access_cycles == 0
+
+    def test_fields_wider_than_64_bits_clear_their_high_rows(self):
+        # Values are int64, so planes 64.. of a wider field are zero and
+        # must overwrite whatever the rows held, on both stores.
+        for fleet in (ArrayFleet(1, 80, 4), PackedArrayFleet(1, 80, 4)):
+            fleet.load_bits(0, np.ones((1, 80, 4), dtype=np.uint8))
+            fleet.load_values(0, np.ones((1, 1, 4), dtype=np.int64), 70)
+            assert fleet.dump_bits(0, 80)[0, :, 0].tolist() == (
+                [1] + [0] * 69 + [1] * 10)
+
+    def test_tail_word_stays_zero(self):
+        packed = PackedArrayFleet(2, rows=16, cols=100)
+        packed.load_values(0, np.full((2, 2, 100), 255, dtype=np.uint8), 8)
+        assert not np.any(packed._words[..., -1] & ~packed._mask[-1])
+
+    @pytest.mark.parametrize("store", [ArrayFleet, PackedArrayFleet])
+    def test_contracts_shared_with_reference(self, store):
+        fleet = store(2, rows=16, cols=100)
+        with pytest.raises(ArrayStateError, match="values"):
+            fleet.load_values(0, np.zeros((2, 100), dtype=np.int64), 4)
+        with pytest.raises(ArrayStateError, match="values"):
+            fleet.load_values(0, np.zeros((1, 1, 100), dtype=np.int64), 4)
+        with pytest.raises(ArrayStateError, match="rows"):
+            fleet.load_values(10, np.zeros((2, 2, 100), dtype=np.int64), 4)
+        with pytest.raises(ArrayStateError, match="rows"):
+            fleet.dump_values(14, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            fleet.load_values(0, np.full((2, 1, 100), -1), 4)
+        assert not fleet.dump_bits(0, 16).any()
+
+
 class TestSequenceEquivalence:
     """Every FleetBitSerialUnit sequence, packed vs unpacked."""
 

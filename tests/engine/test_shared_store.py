@@ -97,6 +97,24 @@ class TestSharedStoreLifecycle:
         attached.close()
         owner.close()
 
+    def test_row_plane_is_contiguous_and_attach_sees_owner_writes(self):
+        owner = SharedPlaneStore(3, rows=16, cols=100)
+        plane = owner.row_plane(12)
+        assert plane.shape == (3, owner.n_words)
+        assert plane.flags.c_contiguous and plane.flags.writeable
+        assert owner.nbytes == 16 * 3 * owner.n_words * 8
+        attached = SharedPlaneStore.attach(owner.segment_name, 3,
+                                           rows=16, cols=100)
+        assert attached.nbytes == owner.nbytes
+        values = RNG.integers(0, 256, (3, 1, 100))
+        owner.load_values(2, values, 8)
+        assert np.array_equal(attached.dump_values(2, 8), values[:, 0])
+        plane[...] = owner.const_plane(1)   # all ones, tail clear
+        assert attached.dump_bits(12, 1).all()
+        del plane
+        attached.close()
+        owner.close()
+
     def test_attach_validates_size_and_existence(self):
         owner = SharedPlaneStore(1, rows=4, cols=64)
         with pytest.raises(ArrayStateError, match="bytes"):
@@ -115,6 +133,10 @@ class TestSharedStoreLifecycle:
             store.dump_bits(0, 1)
         with pytest.raises(ArrayStateError, match="closed"):
             store.load_bits(0, np.zeros((1, 1, 64), dtype=np.uint8))
+        with pytest.raises(ArrayStateError, match="closed"):
+            store.load_values(0, np.zeros((1, 1, 64), dtype=np.uint8), 1)
+        with pytest.raises(ArrayStateError, match="closed"):
+            store.dump_values(0, 1)
         with pytest.raises(ArrayStateError, match="closed"):
             store.sense(0, 1)
         with pytest.raises(ArrayStateError, match="closed"):

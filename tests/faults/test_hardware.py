@@ -61,6 +61,23 @@ class TestStuckCells:
         assert plane[0, 5] == 0
         assert plane[1, 7] == 1         # stuck-at-1 survived the clear
 
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_staged_values_are_clamped_like_loaded_bits(self, packed):
+        # load_values is its own write path on the packed store (it never
+        # calls load_bits), so the wrapper must clamp it explicitly.
+        cells = ((0, 3, 5, 0), (1, 4, 7, 1))
+        staged = fresh_store(packed=packed, stuck_cells=cells)
+        loaded = fresh_store(packed=packed, stuck_cells=cells)
+        values = np.full((2, 1, 64), 0b0101, dtype=np.int64)
+        staged.load_values(1, values, 4)
+        loaded.load_bits(1, np.array([1, 0, 1, 0], dtype=np.uint8)[
+            None, :, None].repeat(2, axis=0).repeat(64, axis=2))
+        assert np.array_equal(staged.dump_bits(0, 8), loaded.dump_bits(0, 8))
+        read = staged.dump_values(1, 4)
+        assert read[0, 5] == 0b0001     # row 3 (bit 2) stuck at 0
+        assert read[1, 7] == 0b1101     # row 4 (bit 3) stuck at 1
+        assert read[0, 6] == 0b0101     # healthy neighbour
+
     def test_compute_sensing_sees_the_clamped_storage(self):
         store = fresh_store(stuck_cells=((0, 3, 0, 0),))
         ones = store.pack_plane(np.ones((2, 64), dtype=np.uint8))

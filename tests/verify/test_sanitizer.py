@@ -73,6 +73,28 @@ class TestOverBothStores:
             unit.copy(Operand(32, 4), Operand(4, 4))
 
 
+@pytest.mark.parametrize("kind", STORES)
+class TestStagingProxies:
+    """``load_values``/``dump_values`` must go through the shadow: the
+    packed store's word-native overrides never call ``load_bits`` or
+    ``dump_bits``, so a fall-through would bypass every check."""
+
+    def test_dump_values_of_unwritten_row_raises(self, kind):
+        store = fleet_for(kind)
+        with pytest.raises(VerifyError) as excinfo:
+            store.dump_values(20, 4)
+        assert excinfo.value.check == "uninit-read"
+        assert excinfo.value.row == 20
+
+    def test_load_values_marks_every_row_it_writes(self, kind):
+        store = fleet_for(kind)
+        store.load_values(3, np.ones((1, 3, COLS), dtype=np.int64), 5)
+        written = np.flatnonzero(store.shadow_written)
+        assert written.tolist() == list(range(3, 18))
+        assert np.array_equal(store.dump_values(8, 5),
+                              np.ones((1, COLS), dtype=np.int64))
+
+
 class TestShadowState:
     def test_mark_and_reset(self):
         store = fleet_for("unpacked")
@@ -85,7 +107,7 @@ class TestShadowState:
 
     def test_writes_mark_rows(self):
         unit = FleetBitSerialUnit(fleet_for("unpacked"))
-        unit.write_values(Operand(0, 4), 5)   # host load_bits path
+        unit.write_values(Operand(0, 4), 5)   # host staging path
         unit.zero(Operand(8, 2))              # compute write path
         written = np.flatnonzero(unit.fleet.shadow_written)
         assert written.tolist() == [0, 1, 2, 3, 8, 9]
